@@ -136,9 +136,11 @@ doclint:
 	$(GO) run ./cmd/doclint .
 
 # alloc-guard enforces the hot-path allocation budgets: the invocation
-# round trip must hold PR 3's 8 allocs/op, and the per-object tracker's
-# warm-path Observe must stay allocation-free (the telemetry-overhead
-# guard for the always-on accounting plane). These tests self-skip under
+# round trip must hold 8 allocs/op, the control frames of one SMR round
+# (propose, timestamp, final, final reply) 3, and the per-object
+# tracker's warm-path Observe must stay allocation-free (the
+# telemetry-overhead guard for the always-on accounting plane). These
+# tests self-skip under
 # -race, so they need this dedicated non-race invocation to actually
 # bite; the measured numbers live in BENCH_rpc.json.
 alloc-guard:

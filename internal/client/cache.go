@@ -138,8 +138,8 @@ func newLeaseCache(c *Client, cfg CacheConfig) (*leaseCache, error) {
 func (lc *leaseCache) handle(_ context.Context, kind uint8, payload []byte) ([]byte, error) {
 	switch kind {
 	case server.KindCacheInvalidate:
-		var msg server.InvalidateMsg
-		if err := core.DecodeValue(payload, &msg); err != nil {
+		msg, err := core.DecodeInvalidate(payload)
+		if err != nil {
 			return nil, err
 		}
 		lc.invalidate(msg.Ref, msg.Epoch)
@@ -247,14 +247,11 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 	if err != nil {
 		return nil
 	}
-	body, err := core.EncodeValue(server.LeaseRequest{
+	body := core.AppendLeaseRequest(rpc.GetBuffer(0), core.LeaseRequest{
 		Ref:        inv.Ref,
 		Persist:    inv.Persist,
 		HolderAddr: lc.cfg.ListenAddr,
 	})
-	if err != nil {
-		return nil
-	}
 	callCtx := ctx
 	var cancel context.CancelFunc
 	if t := lc.c.cfg.AttemptTimeout; t > 0 {
@@ -266,14 +263,18 @@ func (lc *leaseCache) acquire(ctx context.Context, inv core.Invocation) *cacheEn
 	// never race a read we still consider leased.
 	start := time.Now()
 	out, err := rc.Call(callCtx, server.KindLease, body)
+	rpc.PutBuffer(body)
 	if cancel != nil {
 		cancel()
 	}
 	if err != nil {
 		return nil
 	}
-	var resp server.LeaseResponse
-	if err := core.DecodeValue(out, &resp); err != nil {
+	// The decoder copies the snapshot, so the reply buffer can rejoin the
+	// pool at once.
+	resp, err := core.DecodeLeaseResponse(out)
+	rpc.PutBuffer(out)
+	if err != nil {
 		return nil
 	}
 	if !resp.Granted {

@@ -156,9 +156,8 @@ type Client struct {
 	seq atomic.Uint64
 
 	// readSeq round-robins follower-read routing across a replica group
-	// (see Config.ReadReplicas). Advancing it per routed read also makes
-	// retries naturally move on to the next replica — and eventually the
-	// primary — when a follower cannot serve.
+	// (see Config.ReadReplicas). A read a follower bounces is retried at
+	// the primary (see InvokeObject).
 	readSeq atomic.Uint64
 
 	// Telemetry handles; nil (no-op) when no bundle was configured.
@@ -293,10 +292,10 @@ func (c *Client) route(ref core.Ref) (string, *rpc.Client, error) {
 
 // routeFor resolves the connection for one invocation attempt: read-only
 // calls on persistent objects fan out round-robin across the replica group
-// when Config.ReadReplicas > 1 (follower reads); everything else goes to
-// the primary.
-func (c *Client) routeFor(inv core.Invocation) (string, *rpc.Client, error) {
-	if c.cfg.ReadReplicas <= 1 || !inv.ReadOnly || !inv.Persist {
+// when Config.ReadReplicas > 1 (follower reads); everything else, and
+// every attempt with toPrimary set, goes to the primary.
+func (c *Client) routeFor(inv core.Invocation, toPrimary bool) (string, *rpc.Client, error) {
+	if toPrimary || c.cfg.ReadReplicas <= 1 || !inv.ReadOnly || !inv.Persist {
 		return c.route(inv.Ref)
 	}
 	rt := c.routes.Load()
@@ -463,6 +462,11 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 	}
 	defer rpc.PutBuffer(payload)
 	var lastErr error
+	// toPrimary pins the remaining attempts to the primary once a follower
+	// bounced a read (ErrWrongNode: no copy, stale copy, no lease). The
+	// round-robin would otherwise be free to pick a follower again, and
+	// under concurrency every retry can.
+	toPrimary := false
 	for attempt := 0; attempt < c.retry.Attempts(); attempt++ {
 		if attempt > 0 {
 			c.cReroutes.Inc()
@@ -475,7 +479,7 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 				return nil, err
 			}
 		}
-		addr, rc, err := c.routeFor(inv)
+		addr, rc, err := c.routeFor(inv, toPrimary)
 		if err != nil {
 			lastErr = err
 			continue
@@ -516,6 +520,9 @@ func (c *Client) InvokeObject(ctx context.Context, inv core.Invocation) ([]any, 
 		}
 		if remote := core.DecodeError(resp.Err); remote != nil {
 			if retryable(remote) {
+				if errors.Is(remote, core.ErrWrongNode) {
+					toPrimary = true
+				}
 				lastErr = remote
 				continue
 			}

@@ -337,6 +337,48 @@ func TestFollowerReadsSpreadLoad(t *testing.T) {
 	}
 }
 
+// TestFollowerBounceRetriesAtPrimary: a follower that holds no copy of an
+// object bounces a read with ErrWrongNode, and the retry must go to the
+// primary rather than back into the round-robin, which under concurrency
+// can pick the follower on every attempt. One retry is enough budget:
+// reads of never-written keys from concurrent readers never fail.
+func TestFollowerBounceRetriesAtPrimary(t *testing.T) {
+	c := startCluster(t, Options{
+		Nodes:       3,
+		RF:          2,
+		LeaseTTL:    time.Second, // makes clients spread reads (ReadReplicas = RF)
+		ClientRetry: core.RetryPolicy{MaxRetries: 1, Backoff: time.Millisecond},
+	})
+	cl := newClient(t, c)
+	ctx := ctxT(t)
+
+	const readers, keys = 8, 40
+	errs := make(chan error, readers*keys)
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for k := 0; k < keys; k++ {
+				ref := core.Ref{Type: objects.TypeAtomicLong, Key: fmt.Sprintf("unwritten-%d-%d", r, k)}
+				res, err := cl.InvokeObject(ctx, core.Invocation{Ref: ref, Method: "Get", Persist: true})
+				if err != nil {
+					errs <- fmt.Errorf("%s: %w", ref, err)
+					continue
+				}
+				if res[0].(int64) != 0 {
+					errs <- fmt.Errorf("%s: Get = %v, want 0", ref, res[0])
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
 // TestReadOnlyFlagRevalidated: a hostile or buggy client marking a
 // mutating method read-only must not bypass the write machinery — the
 // server re-validates against its own registry.

@@ -24,7 +24,8 @@ import (
 //
 //	byte    wireMagic (0xC7)
 //	byte    wireVersion (1)
-//	byte    kind: 'I' invocation | 'R' response
+//	byte    kind: 'I' invocation | 'R' response | a control frame
+//	        (wire_control.go: the SMR and lease messages)
 //
 //	invocation: Type, Key, Method (strings), Args values, Init values,
 //	            flags byte (bit0 = Persist, bit1 = stamped, bit2 =
@@ -93,7 +94,7 @@ const maxValueDepth = 64
 // time (ReadCodecStats) and exported on the /metrics endpoint.
 type CodecStats struct {
 	// FastEncodes and FastDecodes count whole messages through the tag
-	// codec.
+	// codec: invocations, responses and control frames.
 	FastEncodes uint64
 	FastDecodes uint64
 	// LegacyGobDecodes counts whole messages that arrived in the
@@ -260,6 +261,11 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// appendBytes appends a uvarint length + bytes.
+func appendBytes(dst, b []byte) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
 // appendValues appends a uvarint count + tagged values.
 func appendValues(dst []byte, vs []any) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(len(vs)))
@@ -301,8 +307,7 @@ func appendValue(dst []byte, v any, depth int) ([]byte, error) {
 	case string:
 		return appendString(append(dst, tagString), x), nil
 	case []byte:
-		dst = binary.AppendUvarint(append(dst, tagBytes), uint64(len(x)))
-		return append(dst, x...), nil
+		return appendBytes(append(dst, tagBytes), x), nil
 	case []int:
 		dst = binary.AppendUvarint(append(dst, tagIntSlice), uint64(len(x)))
 		for _, n := range x {
@@ -490,6 +495,20 @@ func (r *wireReader) str() (string, error) {
 	return string(b), nil
 }
 
+// bytes reads a length-prefixed byte slice into a fresh copy (nil when
+// empty), so the decoded message outlives a recycled input buffer.
+func (r *wireReader) bytes() ([]byte, error) {
+	n, err := r.count(1)
+	if err != nil {
+		return nil, err
+	}
+	b, err := r.take(n)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), b...), nil
+}
+
 func (r *wireReader) f64() (float64, error) {
 	b, err := r.take(8)
 	if err != nil {
@@ -554,16 +573,7 @@ func (r *wireReader) value(depth int) (any, error) {
 	case tagString:
 		return r.str()
 	case tagBytes:
-		n, err := r.count(1)
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(n)
-		if err != nil {
-			return nil, err
-		}
-		// Copy so the decoded message outlives a recycled input buffer.
-		return append([]byte(nil), b...), nil
+		return r.bytes()
 	case tagIntSlice:
 		n, err := r.count(1)
 		if err != nil {

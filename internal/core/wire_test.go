@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"crucial/internal/totalorder"
 )
 
 // sampleInvocation exercises every built-in tag type in one message.
@@ -296,5 +298,51 @@ func TestWireDecodeDoesNotAliasInput(t *testing.T) {
 	}
 	if out.Args[1] != "str" {
 		t.Error("decoded string corrupted after input reuse")
+	}
+}
+
+// Control-frame decoders copy what they return: the rpc server recycles a
+// request buffer when its handler returns, while a propose's payload lives
+// on in the total-order queue and a lease's snapshot in the client cache.
+func TestControlFramesCopyOutOfInput(t *testing.T) {
+	prop := AppendPropose(nil, ProposeMsg{ID: totalorder.MsgID{Origin: "n1", Seq: 1}, Payload: []byte("payload")})
+	lease, err := AppendLeaseResponse(nil, LeaseResponse{Granted: true, Snapshot: []byte("snapshot")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotProp, err := DecodePropose(prop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLease, err := DecodeLeaseResponse(lease)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range prop {
+		prop[i] = 0
+	}
+	for i := range lease {
+		lease[i] = 0
+	}
+	if string(gotProp.Payload) != "payload" || gotProp.ID.Origin != "n1" {
+		t.Fatalf("propose aliases its input: %+v", gotProp)
+	}
+	if string(gotLease.Snapshot) != "snapshot" {
+		t.Fatalf("lease response aliases its input: %q", gotLease.Snapshot)
+	}
+}
+
+// One message kind never parses as another, and trailing bytes are
+// refused: a revocation sent to the wrong handler fails loudly.
+func TestControlFramesRejectOtherKinds(t *testing.T) {
+	rev := AppendLeaseRevoke(nil, Revocation{Ref: Ref{Type: "T", Key: "k"}, Epoch: 1})
+	if _, err := DecodeInvalidate(rev); err == nil {
+		t.Fatal("lease revoke decoded as a cache invalidation")
+	}
+	if _, err := DecodeLeaseRevoke(append(rev, 0)); err == nil {
+		t.Fatal("trailing byte accepted")
+	}
+	if _, err := DecodeLeaseRevoke(rev); err != nil {
+		t.Fatal(err)
 	}
 }

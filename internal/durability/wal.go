@@ -12,6 +12,9 @@ import (
 
 // Storage is the slice of a cold object store the durability tier needs.
 // *s3sim.Store satisfies it; a real deployment would back it with S3.
+// Put and PutIfAbsent must treat data as read-only: they may copy it or
+// keep it, but never write to it (the log hands Put a view of its live
+// segment buffer; see Log.flusher).
 type Storage interface {
 	Put(ctx context.Context, key string, data []byte) error
 	PutIfAbsent(ctx context.Context, key string, data []byte) (bool, error)
@@ -179,7 +182,14 @@ func (l *Log) flusher() {
 			l.buf = append(l.buf, q.frame...)
 		}
 		seg := l.segSeq
-		data := append([]byte(nil), l.buf...)
+		// The store gets a capped view of the segment buffer, not a copy.
+		// Bytes below n are never rewritten: l.buf only grows (by this
+		// goroutine, its only appender, after putSegment returns) or is
+		// replaced by nil, and the cap keeps an append through data from
+		// reaching the bytes that follow. Storage.Put must not write to
+		// data, so the view stays valid however long the store keeps it.
+		n := len(l.buf)
+		data := l.buf[:n:n]
 		l.mu.Unlock()
 
 		err := l.putSegment(seg, data)

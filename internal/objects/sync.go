@@ -30,13 +30,20 @@ func init() {
 
 // CyclicBarrier blocks parties callers until all have arrived, then starts
 // a new generation (reusable, like java.util.concurrent.CyclicBarrier).
+// Reset breaks the current generation — its waiters fail with
+// ErrBarrierBroken — and starts a fresh one at once. A waiter whose
+// context ends withdraws its arrival, so it never counts toward a trip.
 // Init: parties (int).
 type CyclicBarrier struct {
-	parties    int64
-	count      int64
-	generation int64
-	broken     bool
+	parties int64
+	count   int64
+	gen     *barrierGen
 }
+
+// barrierGen is one generation of a CyclicBarrier. Waiters hold on to the
+// generation they arrived in, so a waiter released by a Reset learns that
+// its generation broke even after later generations have come and gone.
+type barrierGen struct{ broken bool }
 
 // NewCyclicBarrier builds the barrier from its init arguments.
 func NewCyclicBarrier(init []any) (core.Object, error) {
@@ -47,30 +54,35 @@ func NewCyclicBarrier(init []any) (core.Object, error) {
 	if parties <= 0 {
 		return nil, fmt.Errorf("objects: barrier needs parties > 0, got %d", parties)
 	}
-	return &CyclicBarrier{parties: parties}, nil
+	return &CyclicBarrier{parties: parties, gen: &barrierGen{}}, nil
+}
+
+// nextGeneration starts a fresh generation and wakes every waiter.
+func (b *CyclicBarrier) nextGeneration(ctl core.Ctl) {
+	b.count = 0
+	b.gen = &barrierGen{}
+	ctl.Broadcast()
 }
 
 // Call dispatches a barrier method.
 func (b *CyclicBarrier) Call(ctl core.Ctl, method string, args []any) ([]any, error) {
 	switch method {
 	case "Await":
-		gen := b.generation
-		if b.broken {
-			return nil, ErrBarrierBroken
-		}
+		gen := b.gen
 		arrival := b.parties - b.count - 1 // Java: index of arrival, parties-1 first
 		b.count++
 		if b.count == b.parties {
 			// Last arrival trips the barrier and starts a new generation.
-			b.count = 0
-			b.generation++
-			ctl.Broadcast()
+			b.nextGeneration(ctl)
 			return []any{arrival}, nil
 		}
-		if err := ctl.Wait(func() bool { return b.generation != gen || b.broken }); err != nil {
+		if err := ctl.Wait(func() bool { return b.gen != gen }); err != nil {
+			if b.gen == gen {
+				b.count-- // still waiting: withdraw the arrival
+			}
 			return nil, err
 		}
-		if b.broken {
+		if gen.broken {
 			return nil, ErrBarrierBroken
 		}
 		return []any{arrival}, nil
@@ -79,17 +91,8 @@ func (b *CyclicBarrier) Call(ctl core.Ctl, method string, args []any) ([]any, er
 	case "GetNumberWaiting":
 		return []any{b.count}, nil
 	case "Reset":
-		// Breaks the current generation: waiters are released with an
-		// error, then the barrier is usable again.
-		if b.count > 0 {
-			b.broken = true
-			ctl.Broadcast()
-			if err := ctl.Wait(func() bool { return b.count == 0 }); err != nil {
-				return nil, err
-			}
-			b.broken = false
-			b.generation++
-		}
+		b.gen.broken = true
+		b.nextGeneration(ctl)
 		return nil, nil
 	default:
 		return nil, errUnknownMethod("CyclicBarrier", method)

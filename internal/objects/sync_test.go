@@ -1,6 +1,7 @@
 package objects
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -128,6 +129,107 @@ func TestCyclicBarrierGetParties(t *testing.T) {
 	b := mustNew(t, NewCyclicBarrier, int64(7))
 	if got := call[int64](t, m, b, "GetParties"); got != 7 {
 		t.Fatalf("GetParties = %d", got)
+	}
+}
+
+// Reset with one party waiting returns at once, that party fails with
+// ErrBarrierBroken, and the next full generation trips.
+func TestCyclicBarrierResetBreaksWaiters(t *testing.T) {
+	m := newTestMonitor()
+	b := mustNew(t, NewCyclicBarrier, int64(2))
+
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := m.Call(b, "Await")
+		waiter <- err
+	}()
+	waitWaiting(t, m, b, 1)
+	reset := make(chan error, 1)
+	go func() {
+		_, err := m.Call(b, "Reset")
+		reset <- err
+	}()
+	select {
+	case err := <-reset:
+		if err != nil {
+			t.Fatalf("Reset: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Reset hung with a party waiting")
+	}
+	select {
+	case err := <-waiter:
+		if !errors.Is(err, ErrBarrierBroken) {
+			t.Fatalf("waiter of the reset generation got %v, want ErrBarrierBroken", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("waiter not released by Reset")
+	}
+	if got := call[int64](t, m, b, "GetNumberWaiting"); got != 0 {
+		t.Fatalf("GetNumberWaiting after Reset = %d, want 0", got)
+	}
+	awaitAll(t, m, b, 2)
+}
+
+// A waiter whose context ends withdraws its arrival: it does not count
+// toward the next trip.
+func TestCyclicBarrierCancelledWaiterWithdraws(t *testing.T) {
+	m := newTestMonitor()
+	b := mustNew(t, NewCyclicBarrier, int64(2))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := m.CallCtx(ctx, b, "Await")
+		waiter <- err
+	}()
+	waitWaiting(t, m, b, 1)
+	cancel()
+	// The server's monitor wakes waiters when their context ends; the test
+	// monitor needs an explicit broadcast.
+	m.mu.Lock()
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	if err := <-waiter; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled waiter got %v", err)
+	}
+	if got := call[int64](t, m, b, "GetNumberWaiting"); got != 0 {
+		t.Fatalf("GetNumberWaiting after withdrawal = %d, want 0", got)
+	}
+	awaitAll(t, m, b, 2)
+}
+
+// waitWaiting polls until n parties wait at the barrier.
+func waitWaiting(t *testing.T, m *testMonitor, b core.Object, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for call[int64](t, m, b, "GetNumberWaiting") != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %d parties waiting", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// awaitAll runs one full generation of parties and checks that it trips.
+func awaitAll(t *testing.T, m *testMonitor, b core.Object, parties int) {
+	t.Helper()
+	errs := make(chan error, parties)
+	for i := 0; i < parties; i++ {
+		go func() {
+			_, err := m.Call(b, "Await")
+			errs <- err
+		}()
+	}
+	for i := 0; i < parties; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("Await in the next generation: %v", err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("next generation never tripped")
+		}
 	}
 }
 

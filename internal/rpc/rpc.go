@@ -27,8 +27,9 @@
 //
 // The frame layout is unchanged since the seed; payload *contents* moved
 // from whole-message gob to the tag codec of internal/core/wire.go, which
-// is self-identifying (magic byte), so mixed-version peers interoperate:
-// decoders accept both payload formats frame by frame.
+// is self-identifying (magic byte): invocation and response decoders
+// accept both payload formats frame by frame, while the replication and
+// lease control frames (internal/core/wire_control.go) have exactly one.
 package rpc
 
 import (
@@ -60,6 +61,19 @@ const (
 // ErrClientClosed is returned by Call after Close, or when the underlying
 // connection fails.
 var ErrClientClosed = errors.New("rpc: client closed")
+
+// ErrRemote matches (errors.Is) every error Call returns because the
+// peer's handler answered with one. Such an error says nothing about the
+// connection, which stays usable for every other call multiplexed on it;
+// its text is exactly the handler's err.Error(), so callers matching
+// sentinels by their text keep working.
+var ErrRemote = errors.New("rpc: remote error")
+
+// remoteError is a handler error carried back in an error response.
+type remoteError struct{ msg string }
+
+func (e *remoteError) Error() string        { return e.msg }
+func (e *remoteError) Is(target error) bool { return target == ErrRemote }
 
 // Payload buffer pool. Incoming frame payloads, outgoing encode buffers
 // and handler responses all cycle through here so a warmed-up connection
@@ -241,7 +255,8 @@ func readFrame(r io.Reader) (frame, error) {
 
 // Handler processes one request. kind is the application multiplexing tag;
 // the returned bytes are shipped back as the response payload. Returning an
-// error sends an error response carrying err.Error(). Handlers run in their
+// error sends an error response carrying err.Error(), which the caller's
+// Call returns as an error matching ErrRemote. Handlers run in their
 // own goroutine per request and may block (that is the point).
 //
 // Buffer ownership: payload is only valid for the duration of the call —
@@ -510,7 +525,7 @@ func (c *Client) readLoop() {
 			continue // caller gave up (context cancelled)
 		}
 		if f.flags&flagError != 0 {
-			p.ch <- result{err: errors.New(string(f.payload))}
+			p.ch <- result{err: &remoteError{msg: string(f.payload)}}
 			PutBuffer(f.payload)
 		} else {
 			p.ch <- result{payload: f.payload}

@@ -273,6 +273,9 @@ func (n *Node) flushBatch(ref core.Ref, batch []*batchedWrite) {
 		defer done()
 	}
 	genesis, err := n.ensureCoordinatorCopy(ctx, ref, group)
+	if err == nil {
+		err = n.checkGroupCurrent(ref, group)
+	}
 	if err != nil {
 		failBatch(batch, err)
 		return

@@ -11,7 +11,7 @@ import (
 // In-flight proposal tracking: one object must never have proposals from
 // two different coordinators in flight at once.
 //
-// The view fence (see proposeMsg) stops a stale primary from *starting* a
+// The view fence (see handlePropose) stops a stale primary from *starting* a
 // round after a replica moved to the new view, but not this interleaving:
 // a shared replica accepts the old primary's propose under view N,
 // installs view N+1, then accepts the new primary's propose for the same

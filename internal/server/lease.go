@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -120,62 +121,22 @@ func newLeaseTable(n *Node, ttl time.Duration) *leaseTable {
 	}
 }
 
-// LeaseRequest asks an object's primary for a lease (KindLease). Replica
-// requests come from group members and carry the node ID in HolderAddr;
-// client requests carry the address of the client's invalidation listener.
-type LeaseRequest struct {
-	Ref     core.Ref
-	Persist bool
-	Replica bool
-	// HolderAddr is where revocation reaches the holder; it also keys the
-	// holder in the primary's table, so renewals update in place.
-	HolderAddr string
-}
-
-// LeaseResponse answers a LeaseRequest. A refused grant carries the reason
-// (diagnostics only — clients just fall back to a remote invoke).
-type LeaseResponse struct {
-	Granted bool
-	Reason  string
-	// TTLMillis is the lease duration. Holders must count it from before
-	// the request was sent, which is provably at or before the server's
-	// own start point.
-	TTLMillis int64
-	Epoch     uint64
-	// Version is the copy's apply count at grant time: the snapshot's
-	// version for client leases, the floor a follower's copy must have
-	// reached for replica leases.
-	Version uint64
-	// Init and Snapshot let a client lease materialize the object locally.
-	// Empty for replica leases (the follower already holds a copy).
-	Init     []any
-	Snapshot []byte
-}
-
-// InvalidateMsg revokes a client lease (KindCacheInvalidate, sent by the
-// primary to the client's invalidation listener).
-type InvalidateMsg struct {
-	Ref   core.Ref
-	Epoch uint64
-}
-
-// leaseRevokeMsg revokes a follower's replica lease (KindLeaseRevoke).
-type leaseRevokeMsg struct {
-	Ref   core.Ref
-	Epoch uint64
-}
+// Lease messages travel as control frames of the tag codec:
+// core.LeaseRequest and core.LeaseResponse (KindLease), and
+// core.Revocation for both a follower's replica-lease revocation
+// (KindLeaseRevoke) and a client cache's invalidation (KindCacheInvalidate).
 
 // refusal builds a refused LeaseResponse and counts it.
-func (lt *leaseTable) refusal(reason string) LeaseResponse {
+func (lt *leaseTable) refusal(reason string) core.LeaseResponse {
 	lt.n.cLeaseRefusals.Inc()
-	return LeaseResponse{Reason: reason}
+	return core.LeaseResponse{Reason: reason}
 }
 
 // grant services one lease request on the primary. The entire decision —
 // primacy, residency, no write in flight — and the holder registration
 // happen atomically under lt.mu, so a write that begins after the grant is
 // recorded sees (and revokes) the holder.
-func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
+func (lt *leaseTable) grant(req core.LeaseRequest) core.LeaseResponse {
 	n := lt.n
 	rf := 1
 	if req.Persist {
@@ -239,7 +200,7 @@ func (lt *leaseTable) grant(req LeaseRequest) LeaseResponse {
 	if rl.writing > 0 {
 		return lt.refusal("write in flight")
 	}
-	resp := LeaseResponse{
+	resp := core.LeaseResponse{
 		Granted:   true,
 		TTLMillis: lt.ttl.Milliseconds(),
 		Epoch:     rl.epoch,
@@ -337,12 +298,11 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 			defer cancel()
 			var err error
 			if h.replica {
-				body, encErr := core.EncodeValue(leaseRevokeMsg{Ref: ref, Epoch: epoch})
-				if encErr == nil {
-					_, err = lt.n.peerCall(rctx, ring.NodeID(h.addr), KindLeaseRevoke, body)
-				} else {
-					err = encErr
-				}
+				body := core.AppendLeaseRevoke(rpc.GetBuffer(0), core.Revocation{Ref: ref, Epoch: epoch})
+				var out []byte
+				out, err = lt.n.peerCall(rctx, ring.NodeID(h.addr), KindLeaseRevoke, body)
+				rpc.PutBuffer(body)
+				rpc.PutBuffer(out)
 			} else {
 				err = lt.invalidateClient(rctx, h.addr, ref, epoch)
 			}
@@ -372,22 +332,23 @@ func (lt *leaseTable) revokeAll(ctx context.Context, ref core.Ref, wait bool) er
 	return nil
 }
 
-// invalidateClient pushes one InvalidateMsg to a client cache listener,
-// pooling the connection for the next revocation.
+// invalidateClient pushes one invalidation to a client cache listener,
+// pooling the connection for the next revocation. An error answered by
+// the listener (rpc.ErrRemote) leaves the connection up: it is healthy,
+// and closing it would fail every other invalidation multiplexed on it.
 func (lt *leaseTable) invalidateClient(ctx context.Context, addr string, ref core.Ref, epoch uint64) error {
-	body, err := core.EncodeValue(InvalidateMsg{Ref: ref, Epoch: epoch})
-	if err != nil {
-		return err
-	}
 	c, err := lt.clientConn(addr)
 	if err != nil {
 		return err
 	}
-	if _, err := c.Call(ctx, KindCacheInvalidate, body); err != nil {
+	body := core.AppendInvalidate(rpc.GetBuffer(0), core.Revocation{Ref: ref, Epoch: epoch})
+	out, err := c.Call(ctx, KindCacheInvalidate, body)
+	rpc.PutBuffer(body)
+	rpc.PutBuffer(out)
+	if err != nil && !errors.Is(err, rpc.ErrRemote) {
 		lt.dropClientConn(addr)
-		return err
 	}
-	return nil
+	return err
 }
 
 func (lt *leaseTable) clientConn(addr string) (*rpc.Client, error) {
@@ -522,22 +483,22 @@ func (lt *leaseTable) close() {
 // handleLease services a KindLease acquire/renew request.
 func (n *Node) handleLease(payload []byte) ([]byte, error) {
 	if n.leases == nil {
-		return core.EncodeValue(LeaseResponse{Reason: "leases disabled"})
+		return core.AppendLeaseResponse(nil, core.LeaseResponse{Reason: "leases disabled"})
 	}
-	var req LeaseRequest
-	if err := core.DecodeValue(payload, &req); err != nil {
+	req, err := core.DecodeLeaseRequest(payload)
+	if err != nil {
 		return nil, err
 	}
 	if req.HolderAddr == "" {
-		return core.EncodeValue(LeaseResponse{Reason: "missing holder address"})
+		return core.AppendLeaseResponse(nil, core.LeaseResponse{Reason: "missing holder address"})
 	}
-	return core.EncodeValue(n.leases.grant(req))
+	return core.AppendLeaseResponse(rpc.GetBuffer(0), n.leases.grant(req))
 }
 
 // handleLeaseRevoke services a primary's revocation of our replica lease.
 func (n *Node) handleLeaseRevoke(payload []byte) ([]byte, error) {
-	var msg leaseRevokeMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	msg, err := core.DecodeLeaseRevoke(payload)
+	if err != nil {
 		return nil, err
 	}
 	if n.leases != nil {
@@ -679,23 +640,21 @@ func (n *Node) followerRead(ctx context.Context, inv core.Invocation, primary ri
 // lease on ref. The expiry clock starts before the request leaves, so the
 // follower's view of the lease always dies no later than the primary's.
 func (n *Node) acquireReplicaLease(ctx context.Context, inv core.Invocation, primary ring.NodeID) (replicaLease, error) {
-	req := LeaseRequest{
+	body := core.AppendLeaseRequest(rpc.GetBuffer(0), core.LeaseRequest{
 		Ref:        inv.Ref,
 		Persist:    inv.Persist,
 		Replica:    true,
 		HolderAddr: string(n.cfg.ID),
-	}
-	body, err := core.EncodeValue(req)
-	if err != nil {
-		return replicaLease{}, err
-	}
+	})
 	start := time.Now()
 	out, err := n.peerCall(ctx, primary, KindLease, body)
+	rpc.PutBuffer(body)
 	if err != nil {
 		return replicaLease{}, err
 	}
-	var resp LeaseResponse
-	if err := core.DecodeValue(out, &resp); err != nil {
+	resp, err := core.DecodeLeaseResponse(out)
+	rpc.PutBuffer(out)
+	if err != nil {
 		return replicaLease{}, err
 	}
 	if !resp.Granted {

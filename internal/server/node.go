@@ -30,14 +30,16 @@ import (
 const (
 	// KindInvoke is a client object invocation.
 	KindInvoke uint8 = 1
-	// KindPropose and KindFinal are Skeen protocol messages between nodes.
+	// KindPropose and KindFinal are Skeen protocol messages between nodes
+	// (core.ProposeMsg in, timestamp out; core.FinalMsg in, core.FinalResp
+	// out — control frames of the tag codec).
 	KindPropose uint8 = 2
 	KindFinal   uint8 = 3
 	// KindTransfer pushes an object snapshot during rebalancing.
 	KindTransfer uint8 = 4
 	// KindPing is a health check.
 	KindPing uint8 = 5
-	// KindAbort drops an abandoned total-order message.
+	// KindAbort drops an abandoned total-order message (abort frame).
 	KindAbort uint8 = 6
 	// KindStats returns the node's counters and telemetry snapshot
 	// (gob-encoded Snapshot) for dso-cli stats and cluster dashboards.
@@ -54,19 +56,19 @@ const (
 	// from dso-cli chaos to a node wired with a chaos engine.
 	KindChaos uint8 = 10
 	// KindFetch is a pull-on-miss: a replica asks a group peer for its copy
-	// of an object (gob-encoded core.Ref in, fetchResp out) instead of
+	// of an object (fetch frame in, gob-encoded fetchResp out) instead of
 	// creating a fresh one when the hand-off transfer never arrived.
 	KindFetch uint8 = 11
 	// KindLease acquires or renews a lease on an object from its primary
-	// (gob-encoded LeaseRequest in, LeaseResponse out): client caches get
+	// (core.LeaseRequest in, core.LeaseResponse out): client caches get
 	// a snapshot, followers get a version floor. See lease.go.
 	KindLease uint8 = 12
 	// KindLeaseRevoke is the primary telling a follower to stop serving
-	// reads under its replica lease (gob-encoded leaseRevokeMsg), sent
+	// reads under its replica lease (core.Revocation, lease-revoke frame), sent
 	// synchronously before a mutation commits.
 	KindLeaseRevoke uint8 = 13
 	// KindCacheInvalidate is the primary telling a client cache to drop
-	// its leased copy (gob-encoded InvalidateMsg). It is handled by the
+	// its leased copy (core.Revocation, invalidate frame). It is handled by the
 	// client's invalidation listener, not by nodes.
 	KindCacheInvalidate uint8 = 14
 	// KindObjectStats returns the node's per-object heavy-hitter snapshot
@@ -247,7 +249,7 @@ type Node struct {
 	waitMu      sync.Mutex
 	waiters     map[totalorder.MsgID]chan smrResult
 
-	// post-apply version bookkeeping for the SMR fork check (finalResp):
+	// post-apply version bookkeeping for the SMR fork check (core.FinalResp):
 	// applyVers holds this node's member-side versions awaiting their FINAL
 	// reply; finalVers collects the members' versions per coordinated round.
 	applyVerMu sync.Mutex

@@ -8,6 +8,7 @@ import (
 	"crucial/internal/core"
 	"crucial/internal/membership"
 	"crucial/internal/ring"
+	"crucial/internal/rpc"
 )
 
 // Rebalancing (paper Section 4.1): when a view is installed, nodes
@@ -402,8 +403,8 @@ func (n *Node) installTransfer(msg transferMsg) error {
 // handleFetch answers a peer's pull-on-miss (KindFetch): ship our copy of
 // the requested object, or report that we hold none.
 func (n *Node) handleFetch(payload []byte) ([]byte, error) {
-	var ref core.Ref
-	if err := core.DecodeValue(payload, &ref); err != nil {
+	ref, err := core.DecodeFetch(payload)
+	if err != nil {
 		return nil, err
 	}
 	e, ok := n.lookupExisting(ref)
@@ -453,10 +454,8 @@ func (n *Node) pullObject(ctx context.Context, ref core.Ref, group []ring.NodeID
 	// after the skip proves currency, and a skip recorded mid-pull must
 	// keep the mark.
 	token, wasStale := n.staleToken(ref)
-	body, err := core.EncodeValue(ref)
-	if err != nil {
-		return false, false
-	}
+	body := core.AppendFetch(rpc.GetBuffer(0), ref)
+	defer rpc.PutBuffer(body)
 	var (
 		answers    []fetchResp
 		definitive = true

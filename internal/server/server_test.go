@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -420,15 +422,11 @@ func TestProposeFencedOnViewMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(fence uint64, seq uint64) []byte {
-		body, err := core.EncodeValue(proposeMsg{
+		return core.AppendPropose(nil, core.ProposeMsg{
 			ID:      totalorder.MsgID{Origin: "n9", Seq: seq},
 			Payload: append([]byte{smrOpGenesis}, encInv...),
 			Fence:   fence,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return body
 	}
 
 	if _, err := c.Call(ctx, KindPropose, mk(dir.View().Fence()+1, 1)); err == nil {
@@ -436,6 +434,79 @@ func TestProposeFencedOnViewMismatch(t *testing.T) {
 	}
 	if _, err := c.Call(ctx, KindPropose, mk(dir.View().Fence(), 2)); err != nil {
 		t.Fatalf("propose with matching fence refused: %v", err)
+	}
+}
+
+// An error answered by a peer's handler must leave the shared peer
+// connection up: a fenced propose on n1's connection to n2 must not fail a
+// barrier wait that is blocked on the same connection.
+func TestPeerCallRemoteErrorKeepsConnection(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	n1 := startNode(t, validConfig(net, dir))
+	cfg2 := validConfig(net, dir)
+	cfg2.ID, cfg2.Addr = "n2", "n2"
+	startNode(t, cfg2)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+
+	var ref core.Ref
+	for i := 0; ; i++ {
+		ref = core.Ref{Type: objects.TypeCyclicBarrier, Key: fmt.Sprintf("b%d", i)}
+		if dir.View().Place(ref.String(), 1)[0] == "n2" {
+			break
+		}
+	}
+	invoke := func(method string) []byte {
+		body, err := core.EncodeInvocation(core.Invocation{Ref: ref, Method: method, Init: []any{int64(2)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	results := func(out []byte, err error) ([]any, error) {
+		if err != nil {
+			return nil, err
+		}
+		resp, err := core.DecodeResponse(out)
+		if err != nil {
+			return nil, err
+		}
+		return resp.Results, core.DecodeError(resp.Err)
+	}
+
+	blocked := make(chan error, 1)
+	go func() {
+		_, err := results(n1.peerCall(ctx, "n2", KindInvoke, invoke("Await")))
+		blocked <- err
+	}()
+	direct := dial(t, net, "n2")
+	for {
+		res, err := results(direct.Call(ctx, KindInvoke, invoke("GetNumberWaiting")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[0].(int64) == 1 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	fenced := core.AppendPropose(nil, core.ProposeMsg{
+		ID:      totalorder.MsgID{Origin: "n1", Seq: 1},
+		Payload: []byte{smrOpGenesis},
+		Fence:   dir.View().Fence() + 1,
+	})
+	_, err := n1.peerCall(ctx, "n2", KindPropose, fenced)
+	if !errors.Is(err, rpc.ErrRemote) || !errors.Is(core.DecodeError(err.Error()), core.ErrRebalancing) {
+		t.Fatalf("fenced propose: err = %v, want a remote ErrRebalancing", err)
+	}
+
+	if _, err := results(direct.Call(ctx, KindInvoke, invoke("Await"))); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-blocked; err != nil {
+		t.Fatalf("call sharing the connection failed after a remote error: %v", err)
 	}
 }
 
@@ -474,6 +545,50 @@ func TestPullOnMissAdoptsPeerCopy(t *testing.T) {
 	got.mu.Unlock()
 	if v != 7 {
 		t.Fatalf("pulled copy version = %d, want 7", v)
+	}
+}
+
+// A round whose replica group was computed before a view change must not
+// be multicast to the old group: checkGroupCurrent bounces it once the
+// group moved, and passes it while the group holds.
+func TestCheckGroupCurrentBouncesMovedGroup(t *testing.T) {
+	net := rpc.NewMemNetwork()
+	dir := membership.NewDirectory(time.Hour)
+	cfg := validConfig(net, dir)
+	cfg.RF = 2
+	n1 := startNode(t, cfg)
+	cfg2 := cfg
+	cfg2.ID, cfg2.Addr = "n2", "n2"
+	startNode(t, cfg2)
+
+	refs := make([]core.Ref, 64)
+	before := make([][]ring.NodeID, len(refs))
+	for i := range refs {
+		refs[i] = core.Ref{Type: objects.TypeAtomicLong, Key: fmt.Sprintf("g%d", i)}
+		before[i], _ = n1.replicaGroup(refs[i], true)
+		if err := n1.checkGroupCurrent(refs[i], before[i]); err != nil {
+			t.Fatalf("unchanged group bounced: %v", err)
+		}
+	}
+	cfg3 := cfg
+	cfg3.ID, cfg3.Addr = "n3", "n3"
+	startNode(t, cfg3)
+	moved := 0
+	for i, ref := range refs {
+		now, _ := n1.replicaGroup(ref, true)
+		err := n1.checkGroupCurrent(ref, before[i])
+		switch {
+		case !slices.Equal(now, before[i]):
+			moved++
+			if !errors.Is(err, core.ErrRebalancing) {
+				t.Fatalf("%s: group moved %v -> %v: err = %v, want ErrRebalancing", ref, before[i], now, err)
+			}
+		case err != nil:
+			t.Fatalf("%s: group kept across the view change bounced: %v", ref, err)
+		}
+	}
+	if moved == 0 || moved == len(refs) {
+		t.Fatalf("%d of %d groups moved; the test needs both kinds", moved, len(refs))
 	}
 }
 
@@ -561,7 +676,7 @@ func TestDeliverRevokesMemberLeases(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if resp := n.leases.grant(LeaseRequest{Ref: ref, HolderAddr: "sink"}); !resp.Granted {
+	if resp := n.leases.grant(core.LeaseRequest{Ref: ref, HolderAddr: "sink"}); !resp.Granted {
 		t.Fatalf("grant refused: %s", resp.Reason)
 	}
 

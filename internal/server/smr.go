@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"crucial/internal/core"
 	"crucial/internal/durability"
 	"crucial/internal/ring"
+	"crucial/internal/rpc"
 	"crucial/internal/telemetry"
 	"crucial/internal/totalorder"
 )
@@ -23,44 +25,28 @@ type smrResult struct {
 	err     error
 	// version is the coordinator copy's apply version immediately after
 	// this op, captured under the object monitor (see execOn). Compared
-	// against the members' finalResp versions before acking.
+	// against the members' FINAL-reply versions before acking.
 	version uint64
 	// commit is the op's WAL durability ticket (nil with the tier off).
 	// The coordinator waits on it before acking — see waitDurable.
 	commit *durability.Commit
 }
 
-// finalResp is the reply to a FINAL control message, sent after the
-// member has applied the finalized op (see handleFinal). Version is the
-// member copy's apply version immediately after that apply. Replicas of
-// one object apply the same totally-ordered sequence, so for any given
-// message every member's post-apply version must agree with the
-// coordinator's — a mismatch means one side executed the op on a copy
-// with a different history (typically a replica replaying the op from its
-// at-most-once window while the coordinator re-executed it on a
-// resurrected older snapshot, the signature of a forked copy) and the op
-// must not be acked. Known distinguishes a real version 0 (a read-only
+// The Skeen control messages travel as fixed-layout frames of the tag
+// codec (core.ProposeMsg, core.FinalMsg, core.FinalResp; see
+// internal/core/wire_control.go). A PROPOSE carries the coordinator's
+// membership digest (membership.View.Fence): a receiver refuses proposes
+// from a coordinator whose view of the cluster differs from its own.
+// Skeen's protocol needs every group member's propose to succeed, so
+// during a view transition any replica shared between the old and the new
+// replica group fences out the stale coordinator — without the fence, the
+// old and the new primary can both commit ops for the same object to
+// overlapping groups and fork its lineage (two clients acknowledged the
+// same counter value). A FINAL reply carries the member copy's apply
+// version right after the op, for the coordinator's fork check (see
+// checkRoundVersions); Known distinguishes a real version 0 (a read-only
 // genesis round) from "version not recorded" (the apply raced the
-// bookkeeping window); an unknown version skips the comparison.
-type finalResp struct {
-	Version uint64
-	Known   bool
-}
-
-// proposeMsg and finalMsg are the Skeen control messages on the wire.
-// Fence is the coordinator's membership digest (membership.View.Fence): a
-// receiver refuses proposes from a coordinator whose view of the cluster
-// differs from its own. Skeen's protocol needs every group member's
-// propose to succeed, so during a view transition any replica shared
-// between the old and the new replica group fences out the stale
-// coordinator — without the fence, the old and the new primary can both
-// commit ops for the same object to overlapping groups and fork its
-// lineage (two clients acknowledged the same counter value).
-type proposeMsg struct {
-	ID      totalorder.MsgID
-	Payload []byte
-	Fence   uint64
-}
+// bookkeeping window), and an unknown version skips the comparison.
 
 // SMR payloads carry a one-byte prefix ahead of the encoded invocation:
 // whether the coordinator held a copy of the object when it multicast the
@@ -79,11 +65,6 @@ const (
 	smrOpBatch        byte = 2
 	smrOpBatchGenesis byte = 3
 )
-
-type finalMsg struct {
-	ID totalorder.MsgID
-	TS uint64
-}
 
 // invokeReplicated is the primary-side path for persistent objects: the
 // contacted node must be the primary replica; it multicasts the operation
@@ -138,6 +119,9 @@ func (n *Node) invokeReplicated(ctx context.Context, inv core.Invocation) ([]any
 
 	genesis, err := n.ensureCoordinatorCopy(ctx, inv.Ref, group)
 	if err != nil {
+		return nil, err
+	}
+	if err := n.checkGroupCurrent(inv.Ref, group); err != nil {
 		return nil, err
 	}
 	flag := smrOpExisting
@@ -252,9 +236,28 @@ func (n *Node) ensureCoordinatorCopy(ctx context.Context, ref core.Ref, group []
 	return !resident, nil
 }
 
+// checkGroupCurrent re-reads ref's replica group once the coordinator's
+// blocking preparation is over (the lease fence wait after a view change,
+// the pull of a missing copy) and bounces the round if a view installed
+// meanwhile moved the group. The receivers' propose fence cannot catch
+// this: the fence travels from the coordinator's view at send time, not
+// from the view the group was computed in. A round sent to the old group
+// would apply on the coordinator and skip at a member that dropped its
+// copy in the new view. The coordinator's copy is then ahead of the
+// group's other copy, and a later dedup replay on one side against a
+// fresh execution on the other can even out the version numbers the fork
+// check compares, leaving the fork undetected.
+func (n *Node) checkGroupCurrent(ref core.Ref, group []ring.NodeID) error {
+	if now, _ := n.replicaGroup(ref, true); !slices.Equal(now, group) {
+		return fmt.Errorf("%w: replica group of %s moved from %v to %v",
+			core.ErrRebalancing, ref, group, now)
+	}
+	return nil
+}
+
 // checkRoundVersions is the coordinator's fork check, run after its own
 // in-order apply and before the ack. Every member that reported a
-// post-apply version (finalResp) must agree with the coordinator's: the
+// post-apply version (core.FinalResp) must agree with the coordinator's: the
 // total order delivers the same op sequence everywhere, so disagreement
 // means one side's copy carries a different history. The typical cause is
 // a resurrected older snapshot — the member replays the op from its
@@ -602,23 +605,19 @@ func (t *toTransport) Propose(ctx context.Context, target string, id totalorder.
 		return n.to.HandlePropose(id, payload), nil
 	}
 	view, _ := n.currentView()
-	body, err := core.EncodeValue(proposeMsg{ID: id, Payload: payload, Fence: view.Fence()})
-	if err != nil {
-		return 0, err
-	}
+	body := core.AppendPropose(rpc.GetBuffer(0), core.ProposeMsg{ID: id, Payload: payload, Fence: view.Fence()})
 	out, err := n.peerCall(ctx, ring.NodeID(target), KindPropose, body)
+	rpc.PutBuffer(body)
 	if err != nil {
 		return 0, err
 	}
-	var ts uint64
-	if err := core.DecodeValue(out, &ts); err != nil {
-		return 0, err
-	}
-	return ts, nil
+	ts, err := core.DecodeTimestamp(out)
+	rpc.PutBuffer(out)
+	return ts, err
 }
 
 // Final implements totalorder.Transport. Remote replies carry the
-// member's post-apply version (finalResp); it is collected into the
+// member's post-apply version (core.FinalResp); it is collected into the
 // coordinator's per-round table for the fork check in invokeReplicated.
 func (t *toTransport) Final(ctx context.Context, target string, id totalorder.MsgID, ts uint64) error {
 	n := t.node()
@@ -626,16 +625,15 @@ func (t *toTransport) Final(ctx context.Context, target string, id totalorder.Ms
 		n.to.HandleFinal(id, ts)
 		return nil
 	}
-	body, err := core.EncodeValue(finalMsg{ID: id, TS: ts})
-	if err != nil {
-		return err
-	}
+	body := core.AppendFinal(rpc.GetBuffer(0), core.FinalMsg{ID: id, TS: ts})
 	out, err := n.peerCall(ctx, ring.NodeID(target), KindFinal, body)
+	rpc.PutBuffer(body)
 	if err != nil {
 		return err
 	}
-	var resp finalResp
-	if len(out) > 0 && core.DecodeValue(out, &resp) == nil && resp.Known {
+	resp, derr := core.DecodeFinalResp(out)
+	rpc.PutBuffer(out)
+	if derr == nil && resp.Known {
 		n.finalVerMu.Lock()
 		if vs, ok := n.finalVers[id]; ok {
 			vs[ring.NodeID(target)] = resp.Version
@@ -653,11 +651,10 @@ func (t *toTransport) Abort(ctx context.Context, target string, id totalorder.Ms
 		n.to.Drop(id)
 		return nil
 	}
-	body, err := core.EncodeValue(id)
-	if err != nil {
-		return err
-	}
-	_, err = n.peerCall(ctx, ring.NodeID(target), KindAbort, body)
+	body := core.AppendAbort(rpc.GetBuffer(0), id)
+	out, err := n.peerCall(ctx, ring.NodeID(target), KindAbort, body)
+	rpc.PutBuffer(body)
+	rpc.PutBuffer(out)
 	return err
 }
 
@@ -667,7 +664,11 @@ var _ totalorder.Transport = (*toTransport)(nil)
 // a per-attempt timeout (see Config.PeerCallTimeout) and a single redial on
 // connection failure. The timeout is what turns a frame lost in the network
 // into an error the protocol layer can clean up after; an unbounded call
-// would wedge the coordinator and, with it, the total-order queue.
+// would wedge the coordinator and, with it, the total-order queue. An
+// error answered by the peer's handler (rpc.ErrRemote: a fenced propose,
+// ErrRebalancing, ...) returns at once: the connection is healthy and
+// carries every other call to that peer, and a resend would meet the same
+// answer.
 func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []byte) ([]byte, error) {
 	if err := n.profile.Delay(ctx, n.profile.DSOReplica); err != nil {
 		return nil, err
@@ -686,8 +687,8 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 		if cancel != nil {
 			cancel()
 		}
-		if err == nil {
-			return out, nil
+		if err == nil || errors.Is(err, rpc.ErrRemote) {
+			return out, err
 		}
 		n.dropPeer(id)
 		if attempt >= 1 || ctx.Err() != nil {
@@ -704,8 +705,8 @@ func (n *Node) peerCall(ctx context.Context, id ring.NodeID, kind uint8, body []
 
 // handleAbort services a peer's ABORT.
 func (n *Node) handleAbort(payload []byte) ([]byte, error) {
-	var id totalorder.MsgID
-	if err := core.DecodeValue(payload, &id); err != nil {
+	id, err := core.DecodeAbort(payload)
+	if err != nil {
 		return nil, err
 	}
 	n.inflight.settle(id)
@@ -714,12 +715,14 @@ func (n *Node) handleAbort(payload []byte) ([]byte, error) {
 }
 
 // handlePropose services a peer's PROPOSE. Proposes from a coordinator
-// whose membership view disagrees with ours are refused (see proposeMsg):
-// the coordinator aborts the round and the client retries once the views
-// converge — a transient bounce, never a fork.
+// whose membership view disagrees with ours are refused (see the view
+// fence above): the coordinator aborts the round and the client retries
+// once the views converge — a transient bounce, never a fork.
 func (n *Node) handlePropose(payload []byte) ([]byte, error) {
-	var msg proposeMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	// The decoder copies the SMR payload out of the request buffer, which
+	// the rpc server recycles on return; the total-order queue keeps it.
+	msg, err := core.DecodePropose(payload)
+	if err != nil {
 		return nil, err
 	}
 	view, _ := n.currentView()
@@ -742,7 +745,7 @@ func (n *Node) handlePropose(payload []byte) ([]byte, error) {
 			core.ErrRebalancing, ref)
 	}
 	ts := n.to.HandlePropose(msg.ID, msg.Payload)
-	return core.EncodeValue(ts)
+	return core.AppendTimestamp(rpc.GetBuffer(0), ts), nil
 }
 
 // handleFinal services a peer's FINAL. It replies only once the message
@@ -758,8 +761,8 @@ func (n *Node) handlePropose(payload []byte) ([]byte, error) {
 // on expiry the coordinator surfaces a retryable error instead of acking
 // (the at-most-once window makes the client's retry safe either way).
 func (n *Node) handleFinal(payload []byte) ([]byte, error) {
-	var msg finalMsg
-	if err := core.DecodeValue(payload, &msg); err != nil {
+	msg, err := core.DecodeFinal(payload)
+	if err != nil {
 		return nil, err
 	}
 	n.to.HandleFinal(msg.ID, msg.TS)
@@ -777,14 +780,14 @@ func (n *Node) handleFinal(payload []byte) ([]byte, error) {
 			core.ErrRebalancing, msg.ID, n.cfg.ID)
 	}
 	// Report the local post-apply version so the coordinator can verify
-	// the copies did not fork (see finalResp). The entry was recorded by
-	// deliverSMR; consume it so the map stays bounded.
-	resp := finalResp{}
+	// the copies did not fork (see checkRoundVersions). The entry was
+	// recorded by deliverSMR; consume it so the map stays bounded.
+	var resp core.FinalResp
 	n.applyVerMu.Lock()
 	if v, ok := n.applyVers[msg.ID]; ok {
 		resp.Version, resp.Known = v, true
 		delete(n.applyVers, msg.ID)
 	}
 	n.applyVerMu.Unlock()
-	return core.EncodeValue(resp)
+	return core.AppendFinalResp(rpc.GetBuffer(0), resp), nil
 }

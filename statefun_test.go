@@ -226,8 +226,16 @@ func TestStatefunMailboxOverflow(t *testing.T) {
 	if accepted != 4 || bounced != 4 {
 		t.Fatalf("accepted=%d bounced=%d, want 4/4", accepted, bounced)
 	}
+	// The handler counts a message before the mailbox commit that pops it
+	// lands; the mailbox has room again (and Status counts the message)
+	// only once the commit is in, so every drain waits for both.
+	drained := func() bool {
+		st, err := fn.Status(bg(), "s1")
+		return err == nil && st.QueueLen == 0
+	}
 	close(release)
 	waitFor(t, "drain after release", func() bool { return processed.Load() == 4 })
+	waitFor(t, "drain commits", drained)
 	// Backpressure must be lossless for the caller: bounced messages can
 	// be resent and arrive exactly once.
 	for i := 0; i < bounced; i++ {
@@ -236,6 +244,7 @@ func TestStatefunMailboxOverflow(t *testing.T) {
 		}
 	}
 	waitFor(t, "resent messages", func() bool { return processed.Load() == 8 })
+	waitFor(t, "resent commits", drained)
 	status, err := fn.Status(bg(), "s1")
 	if err != nil || status.Processed != 8 || status.Dups != 0 {
 		t.Fatalf("status: %+v err=%v", status, err)

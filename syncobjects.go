@@ -41,8 +41,9 @@ func (b *CyclicBarrier) GetNumberWaiting(ctx context.Context) (int64, error) {
 	return result0[int64](b.H.Invoke(ctx, "GetNumberWaiting"))
 }
 
-// Reset breaks the current generation (waiters receive an error) and
-// reopens the barrier.
+// Reset breaks the current generation (its waiters receive a
+// barrier-broken error) and starts a fresh one at once, like
+// java.util.concurrent.CyclicBarrier.reset.
 func (b *CyclicBarrier) Reset(ctx context.Context) error {
 	return resultVoid(b.H.Invoke(ctx, "Reset"))
 }
